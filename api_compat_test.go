@@ -65,4 +65,22 @@ func TestLegacyEntryPointsCompatible(t *testing.T) {
 		flowzip.StreamConfig{Workers: 3, MaxResident: 4096})); !bytes.Equal(got, want) {
 		t.Error("CompressStreamConfig diverges")
 	}
+
+	// The distributed seam: shard results merged locally, and the loopback
+	// coordinator plus workers.
+	shards := make([]*flowzip.ShardResult, 3)
+	for i := range shards {
+		r, err := flowzip.CompressShard(flowzip.TraceSource(tr, 0), opts, i, len(shards))
+		if err != nil {
+			t.Fatal(err)
+		}
+		shards[i] = r
+	}
+	if got := encode(flowzip.MergeShards(shards)); !bytes.Equal(got, want) {
+		t.Error("CompressShard + MergeShards diverges")
+	}
+	newSource := func() (flowzip.PacketSource, error) { return flowzip.TraceSource(tr, 0), nil }
+	if got := encode(flowzip.CompressDistributed(newSource, opts, 3, 2)); !bytes.Equal(got, want) {
+		t.Error("CompressDistributed diverges")
+	}
 }

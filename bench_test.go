@@ -312,15 +312,15 @@ func BenchmarkCompressParallelShared(b *testing.B) {
 	}
 }
 
-// BenchmarkCompressStream measures the streaming pipeline over the large
-// Web trace: same shard workers as BenchmarkCompressParallel, but fed in
-// batches through the bounded channels rather than from a resident trace.
-// The gap between the two is the streaming overhead (packet copying plus
-// channel traffic).
+// BenchmarkCompressStream measures the pipeline over the large Web trace fed
+// as 4096-packet batches, where BenchmarkCompressParallel hands it the whole
+// trace as one batch. Both run the same engine, so rows at equal worker
+// counts should match; a gap is the per-batch cost (one partition call and
+// one progress/metrics step per batch), not a second code path.
 func BenchmarkCompressStream(b *testing.B) {
 	b.ReportAllocs()
 	tr := largeTrace()
-	for _, workers := range []int{1, 4} {
+	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			b.SetBytes(int64(tr.Len()) * 44)

@@ -194,7 +194,7 @@ func runShard(args []string) {
 		log.Fatal(err)
 	}
 	defer src.Close()
-	r, err := core.CompressShardSource(src, opts(), *shard, *shards)
+	r, err := core.CompressShardSource(src, opts(), *shard, *shards, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

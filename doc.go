@@ -34,9 +34,9 @@
 //	// workers <= 0 means one shard per CPU; workers == 1 is the serial path
 //
 // On template-heavy traffic the shards keep rediscovering the same
-// short-flow vectors. CompressParallelConfig (and
+// short-flow vectors. ParallelConfig.SharedTemplates (and
 // StreamConfig.SharedTemplates) attaches one lock-free global template
-// snapshot to all workers — per-shard state shrinks to overflow-only
+// snapshot to all workers from two workers up — per-shard state shrinks to overflow-only
 // vectors and the merge re-clusters far less, while the archive bytes stay
 // identical; ParallelStats reports the saved work:
 //
@@ -82,16 +82,18 @@
 //
 // Every Compress* variant above is a thin wrapper over one entry point:
 // New(opts, cfg) validates codec options and pipeline knobs once and returns
-// a Pipeline whose Compress method streams any PacketSource and whose
-// CompressTrace method runs the in-memory sharded path — both byte-identical
-// to serial Compress. New is strict where the legacy wrappers clamp:
+// a Pipeline whose Compress method streams any PacketSource — the one
+// sharded engine, and the serial compressor at one worker — and whose
+// CompressTrace method hands it a whole trace as one zero-copy batch. Both
+// are byte-identical to serial Compress. New is strict where the legacy
+// wrappers clamp:
 //
 //	p, err := flowzip.New(flowzip.DefaultOptions(), flowzip.Config{Workers: 4})
 //	archive, err := p.Compress(flowzip.TraceSource(tr, 0))
 //
 // # The ingestion daemon
 //
-// flowzipd (NewDaemon, cmd/flowzipd) turns the streaming pipeline into a
+// flowzipd (NewDaemon, cmd/flowzipd) turns the pipeline into a
 // long-lived service: many concurrent capture clients stream packet batches
 // over framed TCP, each session runs its own bounded pipeline, and archives
 // land under one directory per tenant, rotated on size/age boundaries with a

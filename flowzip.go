@@ -56,8 +56,11 @@ type (
 	// worker count after clamping, merge Match calls, shared-snapshot
 	// traffic.
 	ParallelStats = core.ParallelStats
-	// TooManyPacketsError reports a trace beyond CompressParallel's int32
-	// packet-index bound; streams that large go through CompressStream.
+	// TooManyPacketsError reported a trace beyond an earlier int32
+	// packet-index bound of CompressParallel.
+	//
+	// Deprecated: every entry point now indexes packets with int64, so
+	// none returns it. The name remains for source compatibility.
 	TooManyPacketsError = core.TooManyPacketsError
 	// PcapSource streams a pcap capture file in bounded batches.
 	PcapSource = pcap.Source
@@ -228,8 +231,9 @@ func RandomizeAddresses(tr *Trace, seed uint64) *Trace {
 // New validates opts and cfg and returns the unified compression Pipeline —
 // the single entry point behind which every legacy Compress* function now
 // sits. Pipeline.Compress streams any PacketSource in bounded memory;
-// Pipeline.CompressTrace runs the in-memory sharded pipeline. Both produce
-// archives byte-for-byte identical to serial Compress over the same packets.
+// Pipeline.CompressTrace runs it over a whole trace as one zero-copy batch.
+// Both produce archives byte-for-byte identical to serial Compress over the
+// same packets.
 // Unlike the legacy wrappers, New is strict: out-of-range worker counts or
 // windows are errors, never silent clamps.
 func New(opts Options, cfg Config) (*Pipeline, error) { return core.NewPipeline(opts, cfg) }
@@ -318,7 +322,7 @@ func ReadSegmentMeta(path string) (*SegmentMeta, error) { return server.ReadSegm
 // EncodeShardState, ship it anywhere, and merge a complete set with
 // MergeShards.
 func CompressShard(src PacketSource, opts Options, shard, shards int) (*ShardResult, error) {
-	return core.CompressShardSource(src, opts, shard, shards)
+	return core.CompressShardSource(src, opts, shard, shards, nil)
 }
 
 // MergeShards validates a complete set of shard results and replays the
@@ -326,7 +330,7 @@ func CompressShard(src PacketSource, opts Options, shard, shards int) (*ShardRes
 // Compress over the same stream, no matter which machines produced the
 // shards.
 func MergeShards(results []*ShardResult) (*Archive, error) {
-	return core.MergeShardResults(results)
+	return core.MergeShardResults(results, nil)
 }
 
 // EncodeShardState serializes one shard result in the versioned .fzshard

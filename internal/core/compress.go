@@ -118,6 +118,16 @@ func NewCompressor(opts Options) (*Compressor, error) {
 	return c, nil
 }
 
+// presize seeds the time sequence for a known packet count with a
+// flows-per-packets guess, skipping most of the append doubling (a wrong
+// guess only means ordinary growth resumes). Non-positive counts are
+// ignored.
+func (c *Compressor) presize(packets int) {
+	if packets > 0 {
+		c.timeSeq = make([]TimeSeqRecord, 0, packets/4+16)
+	}
+}
+
 // Add feeds one packet. Packets must arrive in timestamp order.
 func (c *Compressor) Add(p *pkt.Packet) {
 	c.packets++
@@ -405,10 +415,7 @@ func Compress(tr *trace.Trace, opts Options) (*Archive, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Whole-trace compression knows the packet count up front; seeding the
-	// time sequence with a flows-per-packets guess skips most of the append
-	// doubling (a wrong guess only means ordinary growth resumes).
-	c.timeSeq = make([]TimeSeqRecord, 0, tr.Len()/4+16)
+	c.presize(tr.Len())
 	for i := range tr.Packets {
 		if i > 0 && tr.Packets[i].Timestamp < tr.Packets[i-1].Timestamp {
 			return nil, notSortedError(tr)

@@ -16,20 +16,23 @@
 // payload-size classes, acknowledgment-dependence timing and destination
 // address locality.
 //
-// # Three pipelines, one archive
+// # One engine, one archive
 //
-// The codec runs in three modes that produce byte-for-byte identical
-// archives:
+// The codec has a reference path and one engine, and they produce
+// byte-for-byte identical archives:
 //
 //   - Compress walks an in-memory trace serially — the reference
 //     implementation of the paper's algorithm.
-//   - CompressParallel shards an in-memory trace across workers by the
-//     5-tuple hash (flow.Partition), compresses shards independently and
-//     deterministically merges the results in serial finalize order.
-//   - CompressStream pulls batches from a PacketSource and feeds the same
-//     shard workers through bounded channels with backpressure, so captures
-//     larger than memory compress with resident packets capped by
-//     StreamConfig.MaxResident.
+//   - Pipeline.Compress pulls batches from a PacketSource through one reader
+//     loop that checks timestamp order, numbers packets and partitions them
+//     by the 5-tuple hash (flow.Partition). From two workers up it copies
+//     packets into pooled chunks, feeds one shard worker per partition
+//     through bounded channels with backpressure (resident packets capped by
+//     PipelineConfig.MaxResident) and deterministically merges the shard
+//     results in serial finalize order; at one worker it feeds the serial
+//     Compressor directly. Pipeline.CompressTrace, CompressParallel and
+//     CompressStream are wrappers over it, and CompressShardSource runs the
+//     same reader loop for one partition of a distributed run.
 //
 // The equivalence rests on two facts: every flow is assembled by exactly one
 // shard (hash partitioning covers both directions of a conversation), and
@@ -39,12 +42,12 @@
 // numbers, address numbers and the time-seq dataset therefore come out
 // identical, whichever mode ran.
 //
-// ParallelConfig.SharedTemplates / StreamConfig.SharedTemplates attach a
-// run-global cluster.SharedStore to the shard workers: exact short-flow
-// vectors the published snapshot resolves are recorded as global ids
-// instead of per-shard template copies, so shard state shrinks to
-// overflow-only vectors and the merge re-clusters only overflow flows plus
-// each shared vector's first occurrence. Snapshot hits are exact
+// PipelineConfig.SharedTemplates attaches a run-global cluster.SharedStore
+// to the shard workers (from two workers up; one worker has no shards):
+// exact short-flow vectors the published snapshot resolves are recorded as
+// global ids instead of per-shard template copies, so shard state shrinks
+// to overflow-only vectors and the merge re-clusters only overflow flows
+// plus each shared vector's first occurrence. Snapshot hits are exact
 // duplicates, so the archive bytes stay identical; ParallelStats reports
 // the merge Match calls saved.
 package core

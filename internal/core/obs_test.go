@@ -147,11 +147,7 @@ func TestPipelineTraceSpans(t *testing.T) {
 				compressStart, compressEnd = ev.Ts, ev.Ts+ev.Dur
 			}
 		}
-		want := []string{"compress", "shard-compress", "finalize", "merge"}
-		if mode == "trace" {
-			want = append(want, "partition")
-		}
-		for _, name := range want {
+		for _, name := range []string{"compress", "shard-compress", "finalize", "merge"} {
 			if spans[name] == 0 {
 				t.Errorf("%s: no %q span in trace (have %v)", mode, name, spans)
 			}

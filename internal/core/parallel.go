@@ -12,11 +12,13 @@ import (
 	"flowzip/internal/trace"
 )
 
-// The sharded parallel pipeline splits compression into three phases:
+// The sharded pipeline (Pipeline.Compress from 2 workers up) splits
+// compression into three phases:
 //
-//  1. Partition: every packet is assigned a shard by the FNV hash of its
-//     canonical 5-tuple (flow.Partition), so both directions of a
-//     conversation land in the same shard and shards are independent.
+//  1. Partition: the reader loop (readSource) assigns every packet a shard
+//     by the FNV hash of its canonical 5-tuple (flow.Partition), so both
+//     directions of a conversation land in the same shard and shards are
+//     independent.
 //  2. Shard compression: one worker per shard assembles flows with a private
 //     flow.Table and deduplicates short-flow vectors in a private
 //     exact-match cluster.Store. Each finalized flow is captured as a
@@ -37,7 +39,7 @@ import (
 // Archive is byte-for-byte identical to the serial Compress output — same
 // template numbering, same address numbering, same Ratio.
 
-// DefaultWorkers is the worker count CompressParallel uses when workers <= 0:
+// DefaultWorkers is the worker count a pipeline uses when configured with 0:
 // the number of usable CPUs.
 func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
 
@@ -45,31 +47,17 @@ func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
 // flow closed by a FIN/RST pair, mirroring the serial compressor.
 const flushMark = int64(math.MaxInt64)
 
-// maxParallelPackets bounds the in-memory parallel pipeline: packet indices
-// are bucketed as int32, so a larger trace must use the int64-indexed
-// CompressStream instead of silently wrapping.
-const maxParallelPackets = math.MaxInt32
-
-// TooManyPacketsError reports a trace too large for CompressParallel's
-// int32 packet-index bucketing. Streams of any length are still
-// compressible through CompressStream, which indexes packets with int64.
+// TooManyPacketsError reported a trace beyond the int32 packet-index bound
+// of an earlier in-memory parallel path.
+//
+// Deprecated: every mode now indexes packets with int64, so no entry point
+// returns this error. The type remains for source compatibility.
 type TooManyPacketsError struct {
 	Packets int64
 }
 
 func (e *TooManyPacketsError) Error() string {
-	return fmt.Sprintf("core: trace has %d packets, beyond the %d-packet bound of the in-memory parallel pipeline (use CompressStream)",
-		e.Packets, int64(maxParallelPackets))
-}
-
-// checkParallelPackets rejects traces whose packet indices would overflow
-// the int32 bucketing. It takes int64 so the bound itself is expressible on
-// 32-bit platforms (where a larger in-memory trace cannot exist anyway).
-func checkParallelPackets(n int64) error {
-	if n > maxParallelPackets {
-		return &TooManyPacketsError{Packets: n}
-	}
-	return nil
+	return fmt.Sprintf("core: trace has %d packets, beyond the in-memory parallel bound", e.Packets)
 }
 
 // ShardFlow is one finalized flow as captured by a shard worker: everything
@@ -107,10 +95,9 @@ func exactLimit(int) int { return 1 }
 
 // shardCompressor runs one shard of the pipeline: it assembles flows with a
 // private flow.Table, deduplicates short-flow vectors in a private
-// exact-match store and captures every finalized flow as a shardFlow. Both
-// the in-memory path (compressShard) and the streaming workers
-// (CompressStream) drive it, so the two pipelines finalize flows
-// identically.
+// exact-match store and captures every finalized flow as a ShardFlow. Both
+// the pipeline's shard workers and CompressShardSource drive it, so
+// in-process and distributed shards finalize flows identically.
 //
 // When shared is non-nil, every short-flow vector is first resolved against
 // the shared snapshot (lock-free); only snapshot misses touch the private
@@ -217,11 +204,18 @@ func (c *shardCompressor) finish() *shardState {
 	c.cur = flushMark
 	c.table.Flush()
 	c.flushMatches()
-	// All emitted flows were recycled (LongF/Gaps are copies), so the table
-	// holds nothing the shard state references and can go back to the pool.
+	return c.st
+}
+
+// release hands the finished compressor's flow table back to the pool. All
+// emitted flows were recycled (LongF/Gaps are copies), so the table holds
+// nothing the shard state references. Run it on the goroutine that created
+// the compressor: sync.Pool caches per processor, so releasing where the
+// next run acquires keeps the tables warm instead of stranding them in
+// another processor's private slot.
+func (c *shardCompressor) release() {
 	c.table.Release()
 	c.table = nil
-	return c.st
 }
 
 // ParallelConfig tunes CompressParallelConfig beyond the plain
@@ -237,8 +231,7 @@ type ParallelConfig struct {
 	// private overflow store, shard state shrinks to overflow-only vectors,
 	// and the merge replay re-clusters only overflow flows plus the first
 	// occurrence of each shared vector. Output bytes are identical either
-	// way. The in-memory pipeline engages it from 2 workers up (1 worker is
-	// the serial path).
+	// way. It engages from 2 workers up (1 worker is the serial path).
 	SharedTemplates bool
 	// Stats, when non-nil, receives the run's pipeline counters.
 	Stats *ParallelStats
@@ -300,14 +293,14 @@ func CompressParallelConfig(tr *trace.Trace, opts Options, cfg ParallelConfig) (
 // replays them against a global template store, renumbering template and
 // address indices. It shares replayMerge with the distributed pipeline
 // (MergeShardResults), so in-process and cross-machine merges cannot diverge.
-func mergeShards(packets int, opts Options, shards []*shardState, shared *cluster.SharedStore, stats *ParallelStats, so *cluster.StoreObserver) (*Archive, error) {
+func mergeShards(packets int64, opts Options, shards []*shardState, shared *cluster.SharedStore, stats *ParallelStats, so *cluster.StoreObserver) (*Archive, error) {
 	flows := make([][]ShardFlow, len(shards))
 	tpls := make([][]flow.Vector, len(shards))
 	for i, s := range shards {
 		flows[i] = s.flows
 		tpls[i] = storeVectors(s.store)
 	}
-	arch, err := replayMerge(int64(packets), opts, flows, tpls, shared, stats, so)
+	arch, err := replayMerge(packets, opts, flows, tpls, shared, stats, so)
 	if err == nil && stats != nil {
 		for _, s := range shards {
 			stats.SharedLookups += s.sharedLookups

@@ -11,6 +11,7 @@ import (
 	"flowzip/internal/cluster"
 	"flowzip/internal/flow"
 	"flowzip/internal/obs"
+	"flowzip/internal/pkt"
 	"flowzip/internal/trace"
 )
 
@@ -28,23 +29,26 @@ type PipelineConfig struct {
 	// workers (see cluster.SharedStore): workers consult it before their
 	// private overflow store, shard state shrinks to overflow-only vectors,
 	// and the merge replay re-clusters only overflow flows plus each shared
-	// vector's first occurrence. Archive bytes are identical either way.
+	// vector's first occurrence. Archive bytes are identical either way. It
+	// engages from 2 workers up: one worker is the serial compressor, which
+	// has no shards to share between.
 	SharedTemplates bool
-	// MaxResident bounds the packets resident inside the streaming pipeline
-	// (shard channels plus per-shard pending chunks); 0 means
-	// DefaultMaxResident. The source's own current batch is not counted — a
-	// source reading N packets per Next adds at most N on top. Very small
-	// values are rounded up to a few packets per worker so chunks stay
-	// non-empty. The in-memory path (CompressTrace) ignores it.
+	// MaxResident bounds the packets resident inside the pipeline (shard
+	// channels plus per-shard pending chunks); 0 means DefaultMaxResident.
+	// The source's own current batch is not counted — a source reading N
+	// packets per Next adds at most N on top, and CompressTrace's single
+	// batch is the trace itself, which the pipeline never copies whole.
+	// Very small values are rounded up to a few packets per worker so chunks
+	// stay non-empty.
 	MaxResident int
 	// Index selects the v2 container for the produced archive: Encode
 	// writes the footer index, enabling the OpenReader/ExtractFlows read
 	// path. The archive body — and therefore Decode — is identical either
 	// way.
 	Index IndexConfig
-	// Progress, when non-nil, is called synchronously from the streaming
-	// reader loop with the cumulative packet count — roughly once per source
-	// batch, and once more after the final packet.
+	// Progress, when non-nil, is called synchronously from the reader loop
+	// with the cumulative packet count — once per source batch, and once
+	// more after the final packet.
 	Progress func(packets int64)
 	// Stats, when non-nil, receives the run's pipeline counters.
 	Stats *ParallelStats
@@ -53,7 +57,7 @@ type PipelineConfig struct {
 	// sampler to every store the run creates. Nil disables all of it at the
 	// cost of one branch per observation site.
 	Metrics *PipelineMetrics
-	// Trace, when non-nil, records partition / shard-compress / finalize /
+	// Trace, when non-nil, records compress / shard-compress / finalize /
 	// merge spans for each run. Nil disables tracing (nil-check-only
 	// overhead). Like Progress and Stats, the tracer is a per-run sink:
 	// share a Pipeline across concurrent runs only when it is nil.
@@ -66,11 +70,11 @@ type PipelineConfig struct {
 
 // Pipeline is the unified compression front end: codec options plus pipeline
 // configuration validated once, then applied to any input shape. Compress
-// streams a PacketSource through bounded shard channels; CompressTrace runs
-// the in-memory sharded pipeline over a materialized trace. Both produce
-// archives byte-for-byte identical to the serial Compress over the same
-// packets — the pipeline only changes how the work is scheduled, never the
-// bytes.
+// streams a PacketSource through bounded shard channels; CompressTrace is
+// the same run over a materialized trace handed over as one zero-copy batch.
+// Both produce archives byte-for-byte identical to the serial Compress over
+// the same packets — the pipeline only changes how the work is scheduled,
+// never the bytes.
 //
 // A Pipeline is immutable after New and safe for concurrent use by multiple
 // goroutines, except for the Progress/Stats/residentPeak sinks, which are
@@ -121,24 +125,95 @@ func (p *Pipeline) Workers() int {
 	return p.cfg.Workers
 }
 
-// Compress streams the packets of src through the sharded pipeline without
-// materializing the input: batches are partitioned by the 5-tuple hash
-// (flow.Partition) and fed to the shard workers through bounded channels, so
-// the reader blocks when a shard falls behind (backpressure) and resident
-// packets stay bounded by the window, not the stream length. The merge is the
-// deterministic replay shared with CompressTrace, so the archive is
-// byte-for-byte identical to the serial Compress over the same packets.
+// Compress runs the packets of src through the pipeline without
+// materializing the input. One reader loop (readSource) checks timestamp
+// order, numbers every packet with its global index and partitions each
+// batch by the 5-tuple hash (flow.Partition); the batches are copied into
+// pooled chunks and fed to one shard worker per partition through bounded
+// channels, so the reader blocks when a shard falls behind (backpressure)
+// and resident packets stay bounded by MaxResident, not the stream length.
+// The deterministic merge replay then makes the archive byte-for-byte
+// identical to the serial Compress over the same packets. With one worker
+// the reader feeds the serial Compressor directly: no partition, no copies,
+// no merge.
 //
 // Packets must arrive in timestamp order; out-of-order input is an error (an
 // in-memory trace can be Sorted first — a stream cannot).
 func (p *Pipeline) Compress(src PacketSource) (*Archive, error) {
+	return p.compress(src, 0)
+}
+
+// CompressTrace compresses a materialized trace: after a sortedness check it
+// is Compress over the whole trace as one zero-copy batch. The archive is
+// byte-for-byte identical to Compress(tr, opts).
+func (p *Pipeline) CompressTrace(tr *trace.Trace) (*Archive, error) {
+	if !tr.IsSorted() {
+		return nil, notSortedError(tr)
+	}
+	return p.compress(trace.Batches(tr, tr.Len()), tr.Len())
+}
+
+// compress is the engine behind both entry points. sizeHint, when positive,
+// is the known packet count, used only to presize the serial time sequence.
+func (p *Pipeline) compress(src PacketSource, sizeHint int) (*Archive, error) {
 	workers := p.Workers()
+	stats := p.cfg.Stats
+	if stats == nil && p.cfg.Metrics != nil {
+		stats = new(ParallelStats)
+	}
+	if stats != nil {
+		*stats = ParallelStats{Workers: workers}
+	}
+	tc := p.cfg.Trace
+	runSpan := tc.Span(0, "compress").ArgInt("workers", int64(workers))
+	defer runSpan.End()
+	if tc != nil {
+		tc.NameThread(0, "pipeline")
+	}
+	var (
+		arch *Archive
+		err  error
+	)
+	if workers == 1 {
+		arch, err = p.compressOne(src, sizeHint)
+	} else {
+		arch, err = p.compressShards(src, workers, stats)
+	}
+	p.cfg.Metrics.addStats(stats)
+	return p.stamp(arch, err)
+}
+
+// compressOne is the one-worker engine: the reader loop feeds the serial
+// Compressor straight from the source batches.
+func (p *Pipeline) compressOne(src PacketSource, sizeHint int) (*Archive, error) {
+	c, err := NewCompressor(p.opts)
+	if err != nil {
+		return nil, err
+	}
+	c.Observe(p.cfg.Metrics.storeObserver())
+	c.presize(sizeHint)
+	_, err = readSource(src, 1, 1, p.cfg.Metrics, p.cfg.Progress, func(batch []pkt.Packet, _ []uint8, _ int64) {
+		for i := range batch {
+			c.Add(&batch[i])
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	fsp := p.cfg.Trace.Span(0, "finalize")
+	defer fsp.End()
+	return c.Finish(), nil
+}
+
+// compressShards is the sharded engine: the reader loop copies every packet,
+// tagged with its global index, into its shard's pending chunk; full chunks
+// travel to the shard workers, which hand them back to chunkPool once
+// drained.
+func (p *Pipeline) compressShards(src PacketSource, workers int, stats *ParallelStats) (*Archive, error) {
 	m := p.cfg.Metrics
 	tc := p.cfg.Trace
 	so := m.storeObserver()
-	runSpan := tc.Span(0, "compress").ArgInt("workers", int64(workers))
 	if tc != nil {
-		tc.NameThread(0, "pipeline")
 		for w := 0; w < workers; w++ {
 			tc.NameThread(int64(w)+1, fmt.Sprintf("shard %d", w))
 		}
@@ -151,34 +226,24 @@ func (p *Pipeline) Compress(src PacketSource) (*Archive, error) {
 	// processed and one pending in the reader — (chanDepth+2) chunks.
 	// Sizing chunks so workers*(chanDepth+2)*chunk <= maxResident keeps the
 	// pipeline within the window.
-	chunk := maxResident / (workers * (chanDepth + 2))
-	if chunk < 1 {
-		chunk = 1
-	}
+	chunk := min(chunkCap, max(1, maxResident/(workers*(chanDepth+2))))
 
-	chans := make([]chan []idxPacket, workers)
-	for w := range chans {
-		chans[w] = make(chan []idxPacket, chanDepth)
-	}
 	var shared *cluster.SharedStore
 	if p.cfg.SharedTemplates {
 		shared = cluster.NewSharedStore()
 	}
-	stats := p.cfg.Stats
-	if stats == nil && m != nil {
-		stats = new(ParallelStats)
-	}
-	if stats != nil {
-		*stats = ParallelStats{Workers: workers}
-	}
+	chans := make([]chan []idxPacket, workers)
+	scs := make([]*shardCompressor, workers)
 	shards := make([]*shardState, workers)
 	var resident atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := range chans {
+		chans[w] = make(chan []idxPacket, chanDepth)
+		scs[w] = newShardCompressor(p.opts, uint16(w), shared).observe(so)
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			sc := newShardCompressor(p.opts, uint16(w), shared).observe(so)
+			sc := scs[w]
 			ssp := tc.Span(int64(w)+1, "shard-compress")
 			for ck := range chans[w] {
 				for i := range ck {
@@ -188,6 +253,7 @@ func (p *Pipeline) Compress(src PacketSource) (*Archive, error) {
 				if m != nil {
 					m.Resident.Set(now)
 				}
+				releaseChunk(ck)
 			}
 			ssp.End()
 			fsp := tc.Span(int64(w)+1, "finalize")
@@ -197,13 +263,7 @@ func (p *Pipeline) Compress(src PacketSource) (*Archive, error) {
 	}
 
 	pend := make([][]idxPacket, workers)
-	for w := range pend {
-		pend[w] = make([]idxPacket, 0, chunk)
-	}
 	send := func(w int) {
-		if len(pend[w]) == 0 {
-			return
-		}
 		now := resident.Add(int64(len(pend[w])))
 		m.observeResident(now)
 		if p.cfg.residentPeak != nil {
@@ -215,23 +275,59 @@ func (p *Pipeline) Compress(src PacketSource) (*Archive, error) {
 			}
 		}
 		chans[w] <- pend[w]
-		pend[w] = make([]idxPacket, 0, chunk)
+		pend[w] = nil
 	}
-	// fail tears the pipeline down without feeding it further: closing the
-	// channels lets every worker drain and exit, so no goroutine leaks even
-	// when the source dies mid-stream.
-	fail := func(err error) (*Archive, error) {
-		for _, ch := range chans {
-			close(ch)
+	packets, err := readSource(src, workers, workers, m, p.cfg.Progress, func(batch []pkt.Packet, ids []uint8, base int64) {
+		for i := range batch {
+			w := ids[i]
+			if pend[w] == nil {
+				pend[w] = leaseChunk()
+			}
+			pend[w] = append(pend[w], idxPacket{idx: base + int64(i), p: batch[i]})
+			if len(pend[w]) >= chunk {
+				send(int(w))
+			}
 		}
-		wg.Wait()
-		runSpan.End()
+	})
+	// Flush the partial chunks — or, when the source failed, just return
+	// them — then close the channels: every worker drains and exits either
+	// way, so no goroutine outlives a failed run.
+	for w := range chans {
+		switch {
+		case pend[w] == nil:
+		case err == nil:
+			send(w)
+		default:
+			releaseChunk(pend[w])
+		}
+		close(chans[w])
+	}
+	wg.Wait()
+	for _, sc := range scs {
+		sc.release()
+	}
+	if err != nil {
 		return nil, err
 	}
+	msp := tc.Span(0, "merge").ArgInt("packets", packets)
+	defer msp.End()
+	return mergeShards(packets, p.opts, shards, shared, stats, so)
+}
 
+// readSource is the one reader loop every compression mode runs: it pulls
+// src to exhaustion, rejects out-of-order timestamps, numbers packets with
+// their int64 global (timestamp-order) index and, for shards > 1, assigns
+// each its 5-tuple partition, hashed across parallelism goroutines. add
+// receives every non-empty batch with its partition ids (nil for one shard)
+// and the global index of its first packet; it must be done with the batch
+// when it returns, because sources may reuse their batch buffer. m (may be
+// nil) observes each batch's partition-and-add latency; progress (may be
+// nil) sees the cumulative count after every batch and once more at the
+// end. It returns the stream length.
+func readSource(src PacketSource, shards, parallelism int, m *PipelineMetrics, progress func(int64), add func(batch []pkt.Packet, ids []uint8, base int64)) (int64, error) {
 	var (
-		gidx   int64
-		lastTS time.Duration
+		packets int64
+		lastTS  time.Duration
 	)
 	for {
 		batch, err := src.Next()
@@ -239,174 +335,36 @@ func (p *Pipeline) Compress(src PacketSource) (*Archive, error) {
 			break
 		}
 		if err != nil {
-			return fail(fmt.Errorf("core: stream source: %w", err))
+			return packets, fmt.Errorf("core: packet source: %w", err)
 		}
 		if len(batch) == 0 {
 			continue
 		}
-		var batchStart time.Time
-		if m != nil {
-			batchStart = time.Now()
-		}
-		ids := flow.Partition(batch, workers, 1)
 		for i := range batch {
-			ts := batch[i].Timestamp
-			if ts < lastTS {
-				return fail(fmt.Errorf("core: stream source is not timestamp sorted at packet %d", gidx))
+			if batch[i].Timestamp < lastTS {
+				return packets, fmt.Errorf("core: packet source is not timestamp sorted at packet %d", packets+int64(i))
 			}
-			lastTS = ts
-			w := int(ids[i])
-			pend[w] = append(pend[w], idxPacket{idx: gidx, p: batch[i]})
-			gidx++
-			if len(pend[w]) >= chunk {
-				send(w)
-			}
+			lastTS = batch[i].Timestamp
 		}
-		m.observeBatch(batchStart, len(batch))
-		if p.cfg.Progress != nil {
-			p.cfg.Progress(gidx)
+		var start time.Time
+		if m != nil {
+			start = time.Now()
 		}
-	}
-	for w := range pend {
-		send(w)
-		close(chans[w])
-	}
-	wg.Wait()
-	if p.cfg.Progress != nil {
-		p.cfg.Progress(gidx)
-	}
-	msp := tc.Span(0, "merge").ArgInt("packets", gidx)
-	arch, err := mergeShards(int(gidx), p.opts, shards, shared, stats, so)
-	msp.End()
-	m.addStats(stats)
-	runSpan.End()
-	return p.stamp(arch, err)
-}
-
-// CompressTrace runs the in-memory sharded pipeline over a materialized
-// trace: packets are bucketed by shard up front, one worker compresses each
-// bucket, and the deterministic merge replays the results in serial finalize
-// order. One worker falls back to the serial compressor. The archive is
-// byte-for-byte identical to Compress(tr, opts).
-func (p *Pipeline) CompressTrace(tr *trace.Trace) (*Archive, error) {
-	workers := p.Workers()
-	m := p.cfg.Metrics
-	tc := p.cfg.Trace
-	so := m.storeObserver()
-	stats := p.cfg.Stats
-	if stats == nil && m != nil {
-		stats = new(ParallelStats)
-	}
-	if stats != nil {
-		*stats = ParallelStats{Workers: workers}
-	}
-	if workers == 1 {
-		return p.stamp(p.compressSerial(tr))
-	}
-	if !tr.IsSorted() {
-		return nil, notSortedError(tr)
-	}
-	if err := checkParallelPackets(int64(tr.Len())); err != nil {
-		return nil, err
-	}
-	runSpan := tc.Span(0, "compress").ArgInt("workers", int64(workers)).ArgInt("packets", int64(tr.Len()))
-	if tc != nil {
-		tc.NameThread(0, "pipeline")
-		for w := 0; w < workers; w++ {
-			tc.NameThread(int64(w)+1, fmt.Sprintf("shard %d", w))
+		var ids []uint8
+		if shards > 1 {
+			ids = flow.Partition(batch, shards, parallelism)
+		}
+		add(batch, ids, packets)
+		packets += int64(len(batch))
+		m.observeBatch(start, len(batch))
+		if progress != nil {
+			progress(packets)
 		}
 	}
-	var runStart time.Time
-	if m != nil {
-		runStart = time.Now()
+	if progress != nil {
+		progress(packets)
 	}
-
-	psp := tc.Span(0, "partition")
-	ids := flow.Partition(tr.Packets, workers, workers)
-
-	// Bucket packet indices per shard so each worker walks only its own
-	// packets rather than rescanning the whole id array. Indices fit int32
-	// because checkParallelPackets bounded the trace above.
-	counts := make([]int, workers)
-	for _, id := range ids {
-		counts[id]++
-	}
-	buckets := make([][]int32, workers)
-	for w := range buckets {
-		buckets[w] = make([]int32, 0, counts[w])
-	}
-	for i, id := range ids {
-		buckets[id] = append(buckets[id], int32(i))
-	}
-	psp.End()
-
-	var shared *cluster.SharedStore
-	if p.cfg.SharedTemplates {
-		shared = cluster.NewSharedStore()
-	}
-	shards := make([]*shardState, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			sc := newShardCompressor(p.opts, uint16(w), shared).observe(so)
-			ssp := tc.Span(int64(w)+1, "shard-compress").ArgInt("packets", int64(len(buckets[w])))
-			for _, i := range buckets[w] {
-				sc.add(int64(i), &tr.Packets[i])
-			}
-			ssp.End()
-			fsp := tc.Span(int64(w)+1, "finalize")
-			shards[w] = sc.finish()
-			fsp.End()
-		}(w)
-	}
-	wg.Wait()
-
-	msp := tc.Span(0, "merge").ArgInt("packets", int64(tr.Len()))
-	arch, err := mergeShards(tr.Len(), p.opts, shards, shared, stats, so)
-	msp.End()
-	if m != nil {
-		m.observeBatch(runStart, tr.Len())
-		m.addStats(stats)
-	}
-	runSpan.End()
-	return p.stamp(arch, err)
-}
-
-// compressSerial is the one-worker fallback: the plain serial compressor,
-// with the pipeline's tracer and store sampler attached when configured.
-func (p *Pipeline) compressSerial(tr *trace.Trace) (*Archive, error) {
-	m := p.cfg.Metrics
-	tc := p.cfg.Trace
-	if m == nil && tc == nil {
-		return Compress(tr, p.opts)
-	}
-	sp := tc.Span(0, "compress").ArgInt("packets", int64(tr.Len()))
-	defer sp.End()
-	if tc != nil {
-		tc.NameThread(0, "pipeline")
-	}
-	if !tr.IsSorted() {
-		return nil, notSortedError(tr)
-	}
-	c, err := NewCompressor(p.opts)
-	if err != nil {
-		return nil, err
-	}
-	c.Observe(m.storeObserver())
-	var start time.Time
-	if m != nil {
-		start = time.Now()
-	}
-	for i := range tr.Packets {
-		c.Add(&tr.Packets[i])
-	}
-	fsp := tc.Span(0, "finalize")
-	a := c.Finish()
-	fsp.End()
-	m.observeBatch(start, tr.Len())
-	return a, nil
+	return packets, nil
 }
 
 // clampWorkers maps a legacy worker count onto the strict PipelineConfig

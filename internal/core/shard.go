@@ -2,11 +2,8 @@ package core
 
 import (
 	"cmp"
-	"errors"
 	"fmt"
-	"io"
 	"slices"
-	"time"
 
 	"flowzip/internal/cluster"
 	"flowzip/internal/flow"
@@ -14,14 +11,13 @@ import (
 	"flowzip/internal/tsh"
 )
 
-// This file is the exported shard seam of the parallel pipeline: the unit of
-// work the distributed compressor (internal/dist) serializes, ships between
-// machines and merges on a coordinator. CompressShardSource produces exactly
-// the state a shardCompressor produces in-process, and MergeShardResults
-// replays the same deterministic merge CompressParallel and CompressStream
-// use, so an archive assembled from shard results — whether they crossed a
-// channel, a file or a TCP connection — is byte-for-byte identical to the
-// serial Compress output.
+// This file is the exported shard seam of the pipeline: the unit of work the
+// distributed compressor (internal/dist) serializes, ships between machines
+// and merges on a coordinator. CompressShardSource runs the pipeline's reader
+// loop and shardCompressor for one partition, and MergeShardResults replays
+// the same deterministic merge Pipeline.Compress uses, so an archive
+// assembled from shard results — whether they crossed a channel, a file or a
+// TCP connection — is byte-for-byte identical to the serial Compress output.
 
 // ShardResult is one shard's compression output in exportable form.
 type ShardResult struct {
@@ -52,25 +48,20 @@ type ShardResult struct {
 }
 
 // CompressShardSource compresses partition index of count over the full
-// packet stream src: every packet is scanned (to assign global timestamp
-// order indices and verify sortedness), but only packets whose 5-tuple
-// hashes into the shard are compressed. Merging the results of all count
-// partitions with MergeShardResults yields the archive serial Compress
-// would produce.
-func CompressShardSource(src PacketSource, opts Options, index, count int) (*ShardResult, error) {
-	return CompressShardSourceShared(src, opts, index, count, nil)
-}
-
-// CompressShardSourceShared is CompressShardSource with a run-global
-// template store attached: short-flow vectors the store's snapshot resolves
-// are recorded as global ids instead of entering the shard's private
-// template table, so the result ships overflow-only state. Every shard of a
-// run must consult the same store instance, and the merge must be handed it
-// (MergeShardResultsShared) — the result's SharedGen stamp enforces that.
-// The store only lives in one process, so this variant serves in-process
-// distributed runs (dist.CompressDistributed); cross-machine workers use
-// the plain entry point.
-func CompressShardSourceShared(src PacketSource, opts Options, index, count int, shared *cluster.SharedStore) (*ShardResult, error) {
+// packet stream src: the pipeline's reader loop scans every packet (to
+// assign global timestamp-order indices and verify sortedness), and only
+// packets whose 5-tuple hashes into the shard reach its shardCompressor.
+// Merging the results of all count partitions with MergeShardResults yields
+// the archive serial Compress would produce.
+//
+// shared, when non-nil, is a run-global template store: short-flow vectors
+// its snapshot resolves are recorded as global ids instead of entering the
+// shard's private template table, so the result ships overflow-only state.
+// Every shard of such a run must consult the same store instance and the
+// merge must be handed it too — the result's SharedGen stamp enforces that.
+// The store only lives in one process, so it serves in-process distributed
+// runs; cross-machine workers pass nil.
+func CompressShardSource(src PacketSource, opts Options, index, count int, shared *cluster.SharedStore) (*ShardResult, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
@@ -81,38 +72,22 @@ func CompressShardSourceShared(src PacketSource, opts Options, index, count int,
 		return nil, fmt.Errorf("core: shard index %d outside [0,%d)", index, count)
 	}
 	sc := newShardCompressor(opts, uint16(index), shared)
-	var (
-		gidx   int64
-		lastTS time.Duration
-	)
-	for {
-		batch, err := src.Next()
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("core: shard source: %w", err)
-		}
-		if len(batch) == 0 {
-			continue
-		}
-		ids := flow.Partition(batch, count, 1)
+	packets, err := readSource(src, count, 1, nil, nil, func(batch []pkt.Packet, ids []uint8, base int64) {
 		for i := range batch {
-			if batch[i].Timestamp < lastTS {
-				return nil, fmt.Errorf("core: shard source is not timestamp sorted at packet %d", gidx)
+			if ids == nil || int(ids[i]) == index {
+				sc.add(base+int64(i), &batch[i])
 			}
-			lastTS = batch[i].Timestamp
-			if int(ids[i]) == index {
-				sc.add(gidx, &batch[i])
-			}
-			gidx++
 		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	st := sc.finish()
+	sc.release()
 	r := &ShardResult{
 		Index:     index,
 		Count:     count,
-		Packets:   gidx,
+		Packets:   packets,
 		Opts:      opts,
 		Flows:     st.flows,
 		Templates: storeVectors(st.store),
@@ -126,19 +101,13 @@ func CompressShardSourceShared(src PacketSource, opts Options, index, count int,
 // MergeShardResults validates that results form one complete, consistent
 // partition set and replays the deterministic merge over them. Order of the
 // slice does not matter; each result's Index does. The archive is
-// byte-for-byte identical to serial Compress over the same stream. Results
-// that reference a shared template store must go through
-// MergeShardResultsShared instead.
-func MergeShardResults(results []*ShardResult) (*Archive, error) {
-	return MergeShardResultsShared(results, nil)
-}
-
-// MergeShardResultsShared merges results whose shards consulted shared, the
-// run-global template store the Shared-flagged flows' global ids resolve
-// against. A nil store merges plain results exactly like MergeShardResults;
-// results stamped with a different store generation, or shared references
-// with no store at all, are rejected.
-func MergeShardResultsShared(results []*ShardResult, shared *cluster.SharedStore) (*Archive, error) {
+// byte-for-byte identical to serial Compress over the same stream.
+//
+// shared is the run-global template store the shards consulted, against
+// which Shared-flagged flows' global ids resolve; nil means none. Results
+// stamped with a different store generation, or shared references with no
+// store at all, are rejected.
+func MergeShardResults(results []*ShardResult, shared *cluster.SharedStore) (*Archive, error) {
 	if len(results) == 0 {
 		return nil, fmt.Errorf("core: merge of zero shard results")
 	}
@@ -240,8 +209,7 @@ func storeVectors(s *cluster.Store) []flow.Vector {
 // indices. flows[s] and tpls[s] are shard s's finalized flows and
 // exact-duplicate template vectors; each ShardFlow's Shard field must index
 // tpls. This single implementation backs the in-process merge
-// (CompressParallel, CompressStream) and the distributed one
-// (MergeShardResults).
+// (Pipeline.Compress) and the distributed one (MergeShardResults).
 //
 // Flows carrying a shared-store global id resolve through shared: the first
 // occurrence of each id in replay order pays the one first-fit Match serial

@@ -14,7 +14,7 @@ func shardResults(t *testing.T, tr *trace.Trace, opts Options, count int) []*Sha
 	t.Helper()
 	results := make([]*ShardResult, count)
 	for i := range results {
-		r, err := CompressShardSource(trace.Batches(tr, 100), opts, i, count)
+		r, err := CompressShardSource(trace.Batches(tr, 100), opts, i, count, nil)
 		if err != nil {
 			t.Fatalf("shard %d/%d: %v", i, count, err)
 		}
@@ -41,7 +41,7 @@ func TestShardMergeByteIdentical(t *testing.T) {
 		want := encodeBytes(t, serial)
 		for _, count := range []int{1, 2, 4, 8} {
 			results := shardResults(t, tr, DefaultOptions(), count)
-			merged, err := MergeShardResults(results)
+			merged, err := MergeShardResults(results, nil)
 			if err != nil {
 				t.Fatalf("%s shards %d: %v", name, count, err)
 			}
@@ -84,7 +84,7 @@ func TestShardMergeShuffledOrder(t *testing.T) {
 	}
 	results := shardResults(t, tr, DefaultOptions(), 4)
 	shuffled := []*ShardResult{results[2], results[0], results[3], results[1]}
-	merged, err := MergeShardResults(shuffled)
+	merged, err := MergeShardResults(shuffled, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestMergeShardResultsValidation(t *testing.T) {
 		},
 	}
 	for name, build := range cases {
-		if _, err := MergeShardResults(build()); err == nil {
+		if _, err := MergeShardResults(build(), nil); err == nil {
 			t.Errorf("%s: merge accepted an inconsistent shard set", name)
 		}
 	}
@@ -157,15 +157,15 @@ func TestMergeShardResultsValidation(t *testing.T) {
 func TestCompressShardSourceValidation(t *testing.T) {
 	tr := webTrace(2, 50)
 	src := func() PacketSource { return trace.Batches(tr, 0) }
-	if _, err := CompressShardSource(src(), DefaultOptions(), 0, 0); err == nil {
+	if _, err := CompressShardSource(src(), DefaultOptions(), 0, 0, nil); err == nil {
 		t.Error("zero shard count accepted")
 	}
-	if _, err := CompressShardSource(src(), DefaultOptions(), 2, 2); err == nil {
+	if _, err := CompressShardSource(src(), DefaultOptions(), 2, 2, nil); err == nil {
 		t.Error("out-of-range shard index accepted")
 	}
 	bad := DefaultOptions()
 	bad.ShortMax = 0
-	if _, err := CompressShardSource(src(), bad, 0, 2); err == nil {
+	if _, err := CompressShardSource(src(), bad, 0, 2, nil); err == nil {
 		t.Error("invalid options accepted")
 	}
 }

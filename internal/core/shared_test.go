@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"errors"
 	"testing"
 	"time"
 
@@ -41,8 +40,9 @@ func TestCompressParallelSharedByteIdentical(t *testing.T) {
 	}
 }
 
-// TestCompressStreamSharedByteIdentical covers the streaming pipeline,
-// including the single-worker case the in-memory path short-circuits.
+// TestCompressStreamSharedByteIdentical covers the streaming pipeline at
+// every worker count. One worker is the serial compressor, which has no
+// shards to share a store between, so only sharded runs look it up.
 func TestCompressStreamSharedByteIdentical(t *testing.T) {
 	tr := webTrace(3, 800)
 	serial, err := Compress(tr, DefaultOptions())
@@ -60,8 +60,8 @@ func TestCompressStreamSharedByteIdentical(t *testing.T) {
 		if !bytes.Equal(want, encodeBytes(t, arch)) {
 			t.Errorf("workers %d: shared streaming archive differs from serial", workers)
 		}
-		if st.SharedLookups == 0 {
-			t.Errorf("workers %d: no shared lookups recorded", workers)
+		if sharded := workers > 1; sharded != (st.SharedLookups > 0) {
+			t.Errorf("workers %d: %d shared lookups recorded", workers, st.SharedLookups)
 		}
 	}
 }
@@ -100,14 +100,19 @@ func TestSharedReducesMergeMatchCalls(t *testing.T) {
 	}
 }
 
-// TestSharedStreamSingleWorkerDeterministic: with one streaming worker the
-// shard's lookup/propose sequence is single-threaded, so snapshot behavior
-// is fully deterministic — hits must appear once an epoch publishes.
+// TestSharedStreamSingleWorkerDeterministic: a single shard compressed
+// inline (CompressShardSource over one partition) runs the lookup/propose
+// sequence on one goroutine, so snapshot behavior is fully deterministic —
+// hits must appear once an epoch publishes, and the merge against the same
+// store must reproduce the serial bytes.
 func TestSharedStreamSingleWorkerDeterministic(t *testing.T) {
 	tr := webTrace(7, 1200)
-	var st ParallelStats
-	arch, err := CompressStreamConfig(trace.Batches(tr, 256), DefaultOptions(),
-		StreamConfig{Workers: 1, SharedTemplates: true, Stats: &st})
+	store := cluster.NewSharedStore()
+	r, err := CompressShardSource(trace.Batches(tr, 256), DefaultOptions(), 0, 1, store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	arch, err := MergeShardResults([]*ShardResult{r}, store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,11 +121,17 @@ func TestSharedStreamSingleWorkerDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(encodeBytes(t, serial), encodeBytes(t, arch)) {
-		t.Error("single-worker shared stream differs from serial")
+		t.Error("single-shard shared run differs from serial")
 	}
-	if st.SharedHits == 0 || st.SharedEpochs == 0 {
-		t.Errorf("deterministic single-worker run published %d epochs with %d hits, want both > 0",
-			st.SharedEpochs, st.SharedHits)
+	hits := 0
+	for _, f := range r.Flows {
+		if f.Shared {
+			hits++
+		}
+	}
+	if epochs := store.Stats().Epochs; hits == 0 || epochs == 0 {
+		t.Errorf("deterministic single-shard run published %d epochs with %d hits, want both > 0",
+			epochs, hits)
 	}
 }
 
@@ -238,26 +249,6 @@ func TestCompressParallelWorkerBounds(t *testing.T) {
 	}
 }
 
-// TestTooManyPacketsError pins the typed int32 bound error. A real 2^31
-// packet trace cannot be materialized in a test, so the check itself is
-// exercised directly at the boundary.
-func TestTooManyPacketsError(t *testing.T) {
-	if err := checkParallelPackets(int64(maxParallelPackets)); err != nil {
-		t.Fatalf("bound itself rejected: %v", err)
-	}
-	err := checkParallelPackets(int64(maxParallelPackets) + 1)
-	if err == nil {
-		t.Fatal("over-bound packet count accepted")
-	}
-	var tooMany *TooManyPacketsError
-	if !errors.As(err, &tooMany) {
-		t.Fatalf("error %T is not a *TooManyPacketsError", err)
-	}
-	if tooMany.Packets != int64(maxParallelPackets)+1 {
-		t.Errorf("error records %d packets, want %d", tooMany.Packets, int64(maxParallelPackets)+1)
-	}
-}
-
 // TestMergeSharedValidation covers the merge-side rejection of inconsistent
 // shared references: missing store, foreign store, dangling global id.
 func TestMergeSharedValidation(t *testing.T) {
@@ -266,7 +257,7 @@ func TestMergeSharedValidation(t *testing.T) {
 	src := func() PacketSource { return trace.Batches(tr, 0) }
 	results := make([]*ShardResult, 2)
 	for i := range results {
-		r, err := CompressShardSourceShared(src(), DefaultOptions(), i, 2, shared)
+		r, err := CompressShardSource(src(), DefaultOptions(), i, 2, shared)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -274,7 +265,7 @@ func TestMergeSharedValidation(t *testing.T) {
 	}
 
 	// The matching store merges to the serial bytes.
-	arch, err := MergeShardResultsShared(results, shared)
+	arch, err := MergeShardResults(results, shared)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,11 +278,11 @@ func TestMergeSharedValidation(t *testing.T) {
 	}
 
 	// No store at all.
-	if _, err := MergeShardResults(results); err == nil {
+	if _, err := MergeShardResults(results, nil); err == nil {
 		t.Error("shared results merged without a store")
 	}
 	// A different store instance.
-	if _, err := MergeShardResultsShared(results, cluster.NewSharedStore()); err == nil {
+	if _, err := MergeShardResults(results, cluster.NewSharedStore()); err == nil {
 		t.Error("shared results merged against a foreign store")
 	}
 	// A dangling global id.
@@ -309,7 +300,7 @@ func TestMergeSharedValidation(t *testing.T) {
 	if !found {
 		t.Fatal("trace produced no short flows to corrupt")
 	}
-	if _, err := MergeShardResultsShared([]*ShardResult{&bad, results[1]}, shared); err == nil {
+	if _, err := MergeShardResults([]*ShardResult{&bad, results[1]}, shared); err == nil {
 		t.Error("dangling shared template id merged")
 	}
 	// A negative plain (overflow) template id must be rejected by
@@ -322,7 +313,7 @@ func TestMergeSharedValidation(t *testing.T) {
 			break
 		}
 	}
-	if _, err := MergeShardResultsShared([]*ShardResult{&neg, results[1]}, shared); err == nil {
+	if _, err := MergeShardResults([]*ShardResult{&neg, results[1]}, shared); err == nil {
 		t.Error("negative plain template id merged")
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync"
 	"sync/atomic"
 
 	"flowzip/internal/pkt"
@@ -8,7 +9,7 @@ import (
 
 // PacketSource is a pull-based stream of packets in timestamp order — the
 // seam that lets the compressor run over inputs larger than memory. A source
-// yields packets in batches; CompressStream never needs the whole input
+// yields packets in batches; the pipeline never needs the whole input
 // resident at once.
 //
 // Implementations exist for in-memory traces (trace.Batches), capture files
@@ -33,12 +34,28 @@ const DefaultMaxResident = 1 << 18
 // while bounding residency.
 const chanDepth = 2
 
+// chunkCap is the packet capacity of one reader-to-shard chunk. Every chunk
+// has it whatever the run's residency window (a small window only fills
+// chunks partway), so pooled chunks are interchangeable between runs.
+const chunkCap = 4096
+
+// chunkPool recycles chunks across runs: a worker returns each chunk it has
+// drained, so a steady-state run, and every run after the first, allocates
+// no packet buffers. The pool holds array pointers, so Put boxes nothing.
+var chunkPool = sync.Pool{New: func() any { return new([chunkCap]idxPacket) }}
+
+// leaseChunk takes an empty chunk from the pool.
+func leaseChunk() []idxPacket { return chunkPool.Get().(*[chunkCap]idxPacket)[:0] }
+
+// releaseChunk returns a leased chunk to the pool; the caller must not touch
+// it afterwards.
+func releaseChunk(ck []idxPacket) { chunkPool.Put((*[chunkCap]idxPacket)(ck[:chunkCap])) }
+
 // StreamConfig tunes CompressStreamConfig beyond the plain
 // CompressStream(src, opts, workers) entry point.
 type StreamConfig struct {
-	// Workers is the shard count: 0 = one per CPU, 1 = a single shard
-	// (still streamed, still byte-identical to serial Compress), capped at
-	// flow.MaxShards.
+	// Workers is the shard count: 0 = one per CPU, 1 = the serial
+	// compressor fed straight from the source, capped at flow.MaxShards.
 	Workers int
 	// MaxResident bounds the packets resident inside the pipeline (shard
 	// channels plus per-shard pending chunks); 0 means DefaultMaxResident.
@@ -47,15 +64,15 @@ type StreamConfig struct {
 	// rounded up to a few packets per worker so chunks stay non-empty.
 	MaxResident int
 	// Progress, when non-nil, is called synchronously from the reader loop
-	// with the cumulative packet count — roughly once per source batch,
-	// and once more after the final packet.
+	// with the cumulative packet count — once per source batch, and once
+	// more after the final packet.
 	Progress func(packets int64)
 	// SharedTemplates shares one global template snapshot across the shard
 	// workers, exactly as in ParallelConfig: workers consult it before
 	// their private overflow store and the merge replay re-clusters only
 	// overflow flows plus each shared vector's first occurrence. Archive
-	// bytes are identical either way. The streaming pipeline engages it at
-	// any worker count, including 1.
+	// bytes are identical either way. It engages from 2 workers up; one
+	// worker is the serial compressor, which has no shards to share between.
 	SharedTemplates bool
 	// Stats, when non-nil, receives the run's pipeline counters.
 	Stats *ParallelStats
@@ -73,12 +90,10 @@ type idxPacket struct {
 }
 
 // CompressStream compresses the packets of src across workers shards without
-// materializing the input: batches are partitioned by the 5-tuple hash
-// (flow.Partition) and fed to the shard workers through bounded channels, so
-// the reader blocks when a shard falls behind (backpressure) and resident
-// packets stay bounded by the window, not the stream length. The merge is
-// the same deterministic replay CompressParallel uses, so the archive is
-// byte-for-byte identical to the serial Compress over the same packets.
+// materializing the input: it is Pipeline.Compress, so resident packets stay
+// bounded by the window (DefaultMaxResident here), not the stream length,
+// and the archive is byte-for-byte identical to the serial Compress over the
+// same packets.
 //
 // Packets must arrive in timestamp order; out-of-order input is an error
 // (an in-memory trace can be Sorted first — a stream cannot).

@@ -186,3 +186,80 @@ func TestCompressStreamProgress(t *testing.T) {
 		t.Errorf("progress called %d times, want at least one per batch", calls)
 	}
 }
+
+// reusingSource serves a trace through one buffer that it scribbles over on
+// every Next, the way pkt.BatchReader reuses its batch buffer. An engine that
+// holds on to a batch past the following Next — instead of copying what it
+// needs first — sees the garbage and produces a different archive.
+type reusingSource struct {
+	packets []pkt.Packet
+	buf     []pkt.Packet
+	off     int
+	calls   uint32
+}
+
+func newReusingSource(tr *trace.Trace, batch int) *reusingSource {
+	return &reusingSource{packets: tr.Packets, buf: make([]pkt.Packet, batch)}
+}
+
+func (s *reusingSource) Next() ([]pkt.Packet, error) {
+	s.calls++
+	for i := range s.buf {
+		g := s.calls*2654435761 + uint32(i)
+		s.buf[i] = pkt.Packet{
+			Timestamp: time.Duration(g), Proto: pkt.ProtoTCP,
+			SrcIP: pkt.IPv4(g), DstIP: pkt.IPv4(^g), SrcPort: uint16(g), DstPort: uint16(g >> 16),
+			Flags: pkt.TCPFlags(g), PayloadLen: uint16(g >> 8),
+		}
+	}
+	if s.off >= len(s.packets) {
+		return nil, io.EOF
+	}
+	n := copy(s.buf, s.packets[s.off:])
+	s.off += n
+	return s.buf[:n], nil
+}
+
+// TestEngineCopiesReusedBatches pins the engine's batch-ownership contract:
+// pooled chunks copy every packet before the next Next, and a chunk goes
+// back to the pool only once its worker has drained it. A small residency
+// window keeps chunks small, so they cycle through the pool many times per
+// run.
+func TestEngineCopiesReusedBatches(t *testing.T) {
+	tr := webTrace(17, 300)
+	serial, err := Compress(tr, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := encodeArchive(t, serial)
+	for _, batch := range []int{1, 64, 4096} {
+		for _, workers := range []int{1, 2, 4} {
+			p, err := NewPipeline(DefaultOptions(), PipelineConfig{Workers: workers, MaxResident: 1024})
+			if err != nil {
+				t.Fatal(err)
+			}
+			arch, err := p.Compress(newReusingSource(tr, batch))
+			if err != nil {
+				t.Fatalf("batch %d workers %d: %v", batch, workers, err)
+			}
+			if !bytes.Equal(encodeArchive(t, arch), want) {
+				t.Errorf("batch %d workers %d: archive differs from serial", batch, workers)
+			}
+		}
+		for _, count := range []int{1, 2, 4} {
+			results := make([]*ShardResult, count)
+			for i := range results {
+				if results[i], err = CompressShardSource(newReusingSource(tr, batch), DefaultOptions(), i, count, nil); err != nil {
+					t.Fatalf("batch %d shard %d/%d: %v", batch, i, count, err)
+				}
+			}
+			arch, err := MergeShardResults(results, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(encodeArchive(t, arch), want) {
+				t.Errorf("batch %d shards %d: merged archive differs from serial", batch, count)
+			}
+		}
+	}
+}

@@ -37,7 +37,7 @@ func BenchmarkMergeShardResults(b *testing.B) {
 	const shards = 8
 	base := make([]*core.ShardResult, shards)
 	for i := range base {
-		r, err := core.CompressShardSource(trace.Batches(tr, 0), core.DefaultOptions(), i, shards)
+		r, err := core.CompressShardSource(trace.Batches(tr, 0), core.DefaultOptions(), i, shards, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -46,7 +46,7 @@ func BenchmarkMergeShardResults(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.MergeShardResults(base); err != nil {
+		if _, err := core.MergeShardResults(base, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -57,7 +57,7 @@ func BenchmarkMergeShardResults(b *testing.B) {
 // shard of an 8-way partition.
 func BenchmarkShardStateCodec(b *testing.B) {
 	tr := webTrace(3, 1500)
-	r, err := core.CompressShardSource(trace.Batches(tr, 0), core.DefaultOptions(), 0, 8)
+	r, err := core.CompressShardSource(trace.Batches(tr, 0), core.DefaultOptions(), 0, 8, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

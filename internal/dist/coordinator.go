@@ -44,9 +44,9 @@ type CoordinatorConfig struct {
 	NetConfig
 	// Shared, when non-nil, is the run-global template store the merge
 	// resolves shared-flagged shard state against
-	// (core.MergeShardResultsShared). It must be the same instance the
-	// workers consulted, which confines it to in-process runs
-	// (CompressDistributedShared); results stamped with a foreign store
+	// (core.MergeShardResults). It must be the same instance the workers
+	// consulted, which confines it to in-process runs; results stamped
+	// with a foreign store
 	// generation are rejected at acceptance time so the offending worker's
 	// shard is re-queued instead of poisoning the final merge.
 	Shared *cluster.SharedStore
@@ -392,7 +392,7 @@ func (c *Coordinator) Wait() (*core.Archive, error) {
 	if err != nil {
 		return nil, err
 	}
-	return core.MergeShardResultsShared(results, c.cfg.Shared)
+	return core.MergeShardResults(results, c.cfg.Shared)
 }
 
 // shutdown wakes idle handlers and hands teardown to the shared server
@@ -442,7 +442,7 @@ func MergeShardFiles(paths []string) (*core.Archive, error) {
 		}
 		results = append(results, r)
 	}
-	a, err := core.MergeShardResults(results)
+	a, err := core.MergeShardResults(results, nil)
 	if err != nil {
 		return nil, fmt.Errorf("dist: merging %d shard files: %w", len(paths), err)
 	}

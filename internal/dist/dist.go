@@ -41,16 +41,12 @@ func CompressDistributed(newSource func() (core.PacketSource, error), opts core.
 	return compressDistributed(newSource, opts, shards, workers, nil)
 }
 
-// CompressDistributedShared is CompressDistributed with one run-global
+// compressDistributed is CompressDistributed with an optional run-global
 // template store shared by the workers and the coordinator's merge
 // (possible precisely because this deployment is in-process): shard state
 // shrinks to overflow-only vectors and the merge re-clusters only overflow
 // flows plus each shared vector's first occurrence. The archive stays
-// byte-for-byte identical to serial Compress.
-func CompressDistributedShared(newSource func() (core.PacketSource, error), opts core.Options, shards, workers int) (*core.Archive, error) {
-	return compressDistributed(newSource, opts, shards, workers, cluster.NewSharedStore())
-}
-
+// byte-for-byte identical to serial Compress either way.
 func compressDistributed(newSource func() (core.PacketSource, error), opts core.Options, shards, workers int, shared *cluster.SharedStore) (*core.Archive, error) {
 	if workers <= 0 || workers > shards {
 		workers = shards

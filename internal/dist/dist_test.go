@@ -85,7 +85,7 @@ func TestMergeShardFilesByteIdentical(t *testing.T) {
 		for _, count := range []int{1, 2, 4, 8} {
 			paths := make([]string, count)
 			for i := 0; i < count; i++ {
-				r, err := core.CompressShardSource(trace.Batches(tr, 0), core.DefaultOptions(), i, count)
+				r, err := core.CompressShardSource(trace.Batches(tr, 0), core.DefaultOptions(), i, count, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -127,7 +127,7 @@ func TestMergeShardFilesMismatch(t *testing.T) {
 	tr := webTrace(14, 200)
 	dir := t.TempDir()
 	write := func(name string, opts core.Options, index, count int) string {
-		r, err := core.CompressShardSource(trace.Batches(tr, 0), opts, index, count)
+		r, err := core.CompressShardSource(trace.Batches(tr, 0), opts, index, count, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

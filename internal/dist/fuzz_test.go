@@ -17,7 +17,7 @@ import (
 func fuzzSeedShard(f *testing.F) []byte {
 	f.Helper()
 	tr := fractalTrace(71, 600)
-	r, err := core.CompressShardSource(trace.Batches(tr, 0), core.DefaultOptions(), 0, 2)
+	r, err := core.CompressShardSource(trace.Batches(tr, 0), core.DefaultOptions(), 0, 2, nil)
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -14,7 +14,7 @@ import (
 // serializes it.
 func sharedShardBlob(t testing.TB, tr *trace.Trace, opts core.Options, index, count int, s *cluster.SharedStore) []byte {
 	t.Helper()
-	r, err := core.CompressShardSourceShared(trace.Batches(tr, 0), opts, index, count, s)
+	r, err := core.CompressShardSource(trace.Batches(tr, 0), opts, index, count, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestShardStateSharedRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	merged, err := core.MergeShardResultsShared(results, s)
+	merged, err := core.MergeShardResults(results, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,12 +86,12 @@ func TestShardStateSharedRoundTrip(t *testing.T) {
 		t.Error("decoded shared shards do not merge to the serial bytes")
 	}
 	// Without the store the same blobs must refuse to merge.
-	if _, err := core.MergeShardResults(results); err == nil {
+	if _, err := core.MergeShardResults(results, nil); err == nil {
 		t.Error("shared blobs merged without the store")
 	}
 }
 
-// TestCompressDistributedShared runs the full loopback pipeline with the
+// TestCompressDistributedShared runs the full loopback pipeline with a
 // shared store: TCP transport, concurrent workers, byte-identical output.
 func TestCompressDistributedShared(t *testing.T) {
 	tr := webTrace(8, 600)
@@ -103,7 +103,7 @@ func TestCompressDistributedShared(t *testing.T) {
 	want := encodeArchive(t, serial)
 	newSource := func() (core.PacketSource, error) { return trace.Batches(tr, 512), nil }
 	for _, shards := range []int{1, 2, 4, 8} {
-		arch, err := CompressDistributedShared(newSource, opts, shards, 3)
+		arch, err := compressDistributed(newSource, opts, shards, 3, cluster.NewSharedStore())
 		if err != nil {
 			t.Fatalf("shards %d: %v", shards, err)
 		}
@@ -127,7 +127,7 @@ func TestCoordinatorRejectsForeignSharedResult(t *testing.T) {
 	defer coord.Close()
 
 	// A worker that never got the store: its plain result must be rejected.
-	r, err := core.CompressShardSource(trace.Batches(tr, 0), opts, 0, 1)
+	r, err := core.CompressShardSource(trace.Batches(tr, 0), opts, 0, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestCoordinatorRejectsForeignSharedResult(t *testing.T) {
 	}
 
 	// A worker that consulted a different store instance.
-	foreign, err := core.CompressShardSourceShared(trace.Batches(tr, 0), opts, 0, 1, cluster.NewSharedStoreEpoch(1))
+	foreign, err := core.CompressShardSource(trace.Batches(tr, 0), opts, 0, 1, cluster.NewSharedStoreEpoch(1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,7 +55,7 @@ import (
 // indices, so a shard of a shared-template run ships overflow-only state.
 // The header's generation stamp identifies that store; a merge resolves
 // such blobs only when handed the same store instance
-// (core.MergeShardResultsShared), which confines them to the process that
+// (core.MergeShardResults), which confines them to the process that
 // compressed them — cross-machine runs compress without a shared store and
 // write generation 0.
 

@@ -25,7 +25,7 @@ func webTrace(seed uint64, flows int) *trace.Trace {
 // shardBlob compresses one partition and serializes it.
 func shardBlob(t testing.TB, tr *trace.Trace, opts core.Options, index, count int) []byte {
 	t.Helper()
-	r, err := core.CompressShardSource(trace.Batches(tr, 0), opts, index, count)
+	r, err := core.CompressShardSource(trace.Batches(tr, 0), opts, index, count, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,12 +27,12 @@ type WorkerConfig struct {
 	// unused by workers (the coordinator owns re-queueing).
 	NetConfig
 	// Shared, when non-nil, is the run-global template store this worker's
-	// shards consult (core.CompressShardSourceShared): shard state shrinks
-	// to overflow-only vectors plus global ids into the store. The store
-	// lives in one process, so every worker of the run AND the coordinator
-	// that merges it must be handed the same instance — an in-process
-	// deployment (CompressDistributedShared). Leave nil for workers that
-	// dial a coordinator on another machine.
+	// shards consult (core.CompressShardSource): shard state shrinks to
+	// overflow-only vectors plus global ids into the store. The store lives
+	// in one process, so every worker of the run AND the coordinator that
+	// merges it must be handed the same instance — an in-process
+	// deployment. Leave nil for workers that dial a coordinator on another
+	// machine.
 	Shared *cluster.SharedStore
 	// Logf, when non-nil, receives progress lines. Superseded by Logger
 	// when both are set.
@@ -144,7 +144,7 @@ func (w *Worker) compress(a assignment) error {
 		return fmt.Errorf("dist: shard %d source: %w", a.index, err)
 	}
 	defer closeSource(src)
-	r, err := core.CompressShardSourceShared(src, a.opts, a.index, a.count, w.cfg.Shared)
+	r, err := core.CompressShardSource(src, a.opts, a.index, a.count, w.cfg.Shared)
 	if err != nil {
 		return err
 	}

@@ -22,8 +22,10 @@ const PartitionSeed uint64 = 1
 // Partition assigns every packet to one of shards buckets by the FNV hash of
 // its canonical 5-tuple. Both directions of a conversation share a canonical
 // key, so every packet of a flow lands in the same bucket and each bucket can
-// be assembled by an independent Table. The scan is split across parallelism
-// goroutines; the result is deterministic regardless of parallelism.
+// be assembled by an independent Table. The scan is split across up to
+// parallelism goroutines, each hashing at least partitionGrain packets (a
+// smaller batch is hashed inline); the result is deterministic regardless of
+// parallelism.
 //
 // shards must be in [1, MaxShards]; Partition panics otherwise (a programmer
 // error, not an input condition).
@@ -39,7 +41,11 @@ func Partition(packets []pkt.Packet, shards, parallelism int) []uint8 {
 	if parallelism < 1 {
 		parallelism = 1
 	}
-	chunk := (n + parallelism - 1) / parallelism
+	chunk := max((n+parallelism-1)/parallelism, partitionGrain)
+	if chunk >= n {
+		partitionRange(packets, ids, shards, 0, n)
+		return ids
+	}
 	var wg sync.WaitGroup
 	for lo := 0; lo < n; lo += chunk {
 		hi := lo + chunk
@@ -49,11 +55,20 @@ func Partition(packets []pkt.Packet, shards, parallelism int) []uint8 {
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				ids[i] = uint8(packets[i].Key().Hash() % uint64(shards))
-			}
+			partitionRange(packets, ids, shards, lo, hi)
 		}(lo, hi)
 	}
 	wg.Wait()
 	return ids
+}
+
+// partitionGrain is the fewest packets Partition hands one goroutine: below
+// it the spawn costs more than the hashing it offloads.
+const partitionGrain = 1024
+
+// partitionRange assigns shards to packets[lo:hi].
+func partitionRange(packets []pkt.Packet, ids []uint8, shards, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		ids[i] = uint8(packets[i].Key().Hash() % uint64(shards))
+	}
 }

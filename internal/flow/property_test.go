@@ -1,6 +1,7 @@
 package flow
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -164,5 +165,22 @@ func TestQuickPartition(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPartitionParallelMatchesSerial covers batches large enough to be split
+// across goroutines (quick's inputs stay under partitionGrain and hash
+// inline): every parallelism must assign the serial shard ids.
+func TestPartitionParallelMatchesSerial(t *testing.T) {
+	packets := make([]pkt.Packet, 5*partitionGrain+17)
+	for i := range packets {
+		v := uint32(i) * 2654435761
+		packets[i] = pkt.Packet{SrcIP: pkt.IPv4(v), DstIP: pkt.IPv4(v >> 7), SrcPort: uint16(v), DstPort: 443, Proto: pkt.ProtoTCP}
+	}
+	serial := Partition(packets, 7, 1)
+	for _, par := range []int{2, 3, 8, 64} {
+		if !slices.Equal(Partition(packets, 7, par), serial) {
+			t.Errorf("parallelism %d assigns different shards than the serial scan", par)
+		}
 	}
 }

@@ -257,11 +257,8 @@ func (d *Daemon) handle(conn net.Conn) {
 		_ = sc.SendFail(err.Error())
 		return
 	}
-	defer d.release(s)
 	if err := sc.SendOpenOK(s.id, s.window); err != nil {
-		s.endReason = ReasonDisconnect
-		close(s.batches)
-		<-s.done
+		d.end(s, ReasonDisconnect)
 		return
 	}
 	d.log.Info("server: session open", "session", s.id, "tenant", tenant, "remote", conn.RemoteAddr().String())
@@ -269,7 +266,7 @@ func (d *Daemon) handle(conn net.Conn) {
 }
 
 // admit applies the admission checks and registers a new session, starting
-// its pipeline goroutine. The returned session must be released.
+// its pipeline goroutine. The returned session must be ended (d.end).
 func (d *Daemon) admit(tenant string, opts core.Options) (*session, error) {
 	select {
 	case <-d.drain:
@@ -350,8 +347,15 @@ func (d *Daemon) window() int {
 	return w
 }
 
-// release deregisters a finished session.
-func (d *Daemon) release(s *session) {
+// end stops feeding s, waits for its pipeline to flush the last segment
+// (which also settles the tenant's byte accounting) and frees its session
+// slot. Every end-of-session notice is sent after end returns, so a client
+// that has read its closed or fail frame can open a new session within the
+// quota straight away.
+func (d *Daemon) end(s *session, reason string) {
+	s.endReason = reason
+	close(s.batches)
+	<-s.done
 	d.mu.Lock()
 	d.sessions--
 	d.mu.Unlock()
@@ -439,9 +443,7 @@ loop:
 		}
 	}
 
-	s.endReason = end
-	close(s.batches)
-	<-s.done
+	d.end(s, end)
 
 	switch {
 	case s.pipeErr != nil:
